@@ -157,6 +157,7 @@ type searchState struct {
 	occ     [][]int
 	violSet []int // indices of currently violated constraints (lazy, compacted on pick)
 	inSet   []bool
+	hard    []int // pickViolated's scratch: the violated hard constraints
 	tabu    []int // last flip time per var
 
 	hardViolation int
@@ -270,12 +271,13 @@ func (st *searchState) pickViolated(rng *rand.Rand) int {
 	// Prefer a violated hard constraint with probability proportional
 	// to their share, but always pick hard when any exists and a fair
 	// coin lands hard-side: this keeps pressure on feasibility.
-	var hard []int
+	hard := st.hard[:0]
 	for _, ci := range st.violSet {
 		if st.p.Constraints[ci].Hard() {
 			hard = append(hard, ci)
 		}
 	}
+	st.hard = hard
 	if len(hard) > 0 && (len(hard) == w || rng.Float64() < 0.8) {
 		return hard[rng.Intn(len(hard))]
 	}

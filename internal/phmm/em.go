@@ -8,6 +8,7 @@ import (
 )
 
 // emStats accumulates the expected sufficient statistics of one E-step.
+// It lives in the lattice and is overwritten by the next estep.
 type emStats struct {
 	// typeTrue[c][j] / colMass[c]: Bernoulli counts for Theta.
 	typeTrue [][]float64
@@ -20,18 +21,15 @@ type emStats struct {
 // statistics.
 func (m *Model) estep(lt *lattice) (*emStats, float64) {
 	post := lt.forwardBackward()
-	st := &emStats{
-		typeTrue: make([][]float64, m.C),
-		colMass:  make([]float64, m.C),
-		xiCont:   post.xiCont,
-		endC:     post.endC,
-	}
-	for c := 0; c < m.C; c++ {
-		st.typeTrue[c] = make([]float64, token.NumTypes)
+	st := &lt.stats
+	st.xiCont, st.endC = post.xiCont, post.endC
+	clear(st.colMass)
+	for c := range st.typeTrue {
+		clear(st.typeTrue[c])
 	}
 	for i, g := range post.gamma {
 		tv := lt.inst.TypeVecs[i]
-		for r := 0; r < m.K; r++ {
+		for r := post.lo[i]; r <= post.hi[i]; r++ {
 			for c := 0; c < m.C; c++ {
 				w := g[r*m.C+c]
 				if zeroProb(w) {
@@ -98,14 +96,21 @@ func (m *Model) mstep(st *emStats) {
 // deterministic iteration sequence while a cancelled one returns
 // ctx.Err() within one iteration.
 func (m *Model) FitContext(ctx context.Context, inst Instance) (loglik float64, iters int, err error) {
+	return m.fit(ctx, newLattice(m, inst))
+}
+
+// fit is FitContext over a lattice built for m. Every iteration reuses
+// the lattice's buffers, and on return its emission table reflects
+// m's final parameters.
+func (m *Model) fit(ctx context.Context, lt *lattice) (loglik float64, iters int, err error) {
 	prev := math.Inf(-1)
 	for iters = 1; iters <= m.params.MaxIter; iters++ {
 		if err := ctx.Err(); err != nil {
 			return loglik, iters - 1, err
 		}
-		lt := newLattice(m, inst)
 		st, ll := m.estep(lt)
 		m.mstep(st)
+		lt.refresh()
 		loglik = ll
 		if !math.IsInf(prev, -1) {
 			denom := math.Abs(prev)
@@ -164,14 +169,14 @@ func SegmentContext(ctx context.Context, inst Instance, params Params) (*Result,
 		cols = deriveColumns(inst)
 	}
 	m := NewModel(inst.NumRecords, cols, params)
-	ll, iters, err := m.FitContext(ctx, inst)
+	lt := newLattice(m, inst)
+	ll, iters, err := m.fit(ctx, lt)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lt := newLattice(m, inst)
 	records, columns, mapLP := lt.viterbi()
 	post := lt.forwardBackward()
 	confidence := make([]float64, len(records))
