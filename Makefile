@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json lint-sarif lint-self lint-alloc update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results corpus cover fuzz clean
+.PHONY: all build test vet lint lint-json lint-sarif lint-self lint-alloc update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results results-check corpus cover fuzz clean
 
 all: build check
 
@@ -104,6 +104,22 @@ results:
 	$(GO) run ./cmd/experiments -extensions > results/extensions.txt
 	$(GO) run ./cmd/experiments -scale > results/scale.txt
 	$(GO) run ./cmd/experiments -seeds 42,43,44,45 > results/seeds.txt
+
+# Regenerate every deterministic reference output into a temporary
+# directory and diff it against ./results, failing on any difference.
+# scale.txt is left out: its wall-clock column varies run to run.
+RESULTS_CHECKED = table1 table2 table3 table4 ablations baselines extensions seeds
+
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	for t in 1 2 3 4; do "$$tmp/experiments" -table $$t > "$$tmp/table$$t.txt" || exit 1; done && \
+	"$$tmp/experiments" -ablations > "$$tmp/ablations.txt" && \
+	"$$tmp/experiments" -baselines > "$$tmp/baselines.txt" && \
+	"$$tmp/experiments" -extensions > "$$tmp/extensions.txt" && \
+	"$$tmp/experiments" -seeds 42,43,44,45 > "$$tmp/seeds.txt" && \
+	for f in $(RESULTS_CHECKED); do diff -u "results/$$f.txt" "$$tmp/$$f.txt" || exit 1; done && \
+	echo "results-check: $(RESULTS_CHECKED) byte-identical"
 
 # One benchmark per table/figure (see DESIGN.md's index), plus the
 # per-stage microbenchmarks. The stage/solver results are exported as

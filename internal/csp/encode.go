@@ -304,8 +304,10 @@ type SolveParams struct {
 	// solution has contiguity holes simply fails — the static-only
 	// ablation of DESIGN.md).
 	MaxCutRounds int
-	// ExactCheck enables UNSAT certification with the exact solver
-	// before relaxing, for instances up to ExactVarLimit variables.
+	// ExactCheck runs the exact solver before local search, on
+	// instances of up to ExactVarLimit variables: a certified UNSAT
+	// rung fails without any WSAT work, and a SAT verdict supplies the
+	// assignment when WSAT finds none.
 	ExactCheck    bool
 	ExactVarLimit int
 	// NoRelax disables the relaxation ladder: if the strict encoding
@@ -333,7 +335,7 @@ func (sp SolveParams) withDefaults() SolveParams {
 // with ctx.Err() while uncancelled runs stay deterministic.
 func SolveSegmentationContext(ctx context.Context, in SegmentInput, params SolveParams) (*SegmentResult, error) {
 	params = params.withDefaults()
-	res, ok, err := trySolve(ctx, in, Strict, params)
+	res, ok, err := trySolve(ctx, in, Strict, params, certify)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +345,7 @@ func SolveSegmentationContext(ctx context.Context, in SegmentInput, params Solve
 	}
 	flips, restarts := res.Flips, res.Restarts
 	if !params.NoRelax {
-		res, ok, err = trySolve(ctx, in, Relaxed, params)
+		res, ok, err = trySolve(ctx, in, Relaxed, params, certify)
 		if err != nil {
 			return nil, err
 		}
@@ -373,32 +375,52 @@ func unassignedAll(n int) []int {
 	return out
 }
 
+// certify is the exact check the ladder gives trySolve: SolveExact
+// with its default node budget.
+func certify(ctx context.Context, p *Problem) ([]bool, bool, error) {
+	return SolveExact(ctx, p, ExactParams{})
+}
+
 // trySolve attempts one rung of the ladder, returning a result and
 // whether a feasible, fully consecutive assignment was found. On
 // failure the result still carries the Flips/Restarts spent, so the
 // ladder can aggregate solver work across rungs.
-func trySolve(ctx context.Context, in SegmentInput, level RelaxLevel, params SolveParams) (*SegmentResult, bool, error) {
+//
+// Under ExactCheck a small enough instance is first given to exact
+// (certify in production): an UNSAT verdict fails the rung without
+// any local search (WSAT could not have found a feasible assignment),
+// while a SAT verdict keeps WSAT's own assignment whenever it is
+// feasible and falls back to the exact one only when it is not. Either
+// way the rung's outcome is the one a WSAT-first order would reach.
+func trySolve(ctx context.Context, in SegmentInput, level RelaxLevel, params SolveParams, exact func(context.Context, *Problem) ([]bool, bool, error)) (*SegmentResult, bool, error) {
 	enc := Encode(in, level)
 	spent := &SegmentResult{}
 	rounds := 0
 	for {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		var witness []bool
+		if params.ExactCheck && enc.Problem.NumVars() <= params.ExactVarLimit {
+			assign, sat, exErr := exact(ctx, enc.Problem)
+			switch {
+			case exErr == nil && sat:
+				witness = assign
+			case exErr == nil:
+				return spent, false, nil // certified UNSAT at this rung
+			case !errors.Is(exErr, ErrSearchLimit):
+				return nil, false, exErr // context cancellation
+			}
+			// ErrSearchLimit: satisfiability unknown, WSAT decides.
+		}
 		sol, err := SolveWSATContext(ctx, enc.Problem, params.WSAT)
 		if err != nil {
 			return nil, false, err
 		}
 		spent.Flips += sol.Flips
 		spent.Restarts += sol.Restarts
-		if !sol.Feasible && params.ExactCheck && enc.Problem.NumVars() <= params.ExactVarLimit {
-			// Local search failed; let the exact solver decide.
-			exact, sat, exErr := SolveExact(ctx, enc.Problem, ExactParams{})
-			switch {
-			case exErr == nil && sat:
-				sol = &Solution{Assign: exact, Feasible: true}
-			case exErr == nil && !sat:
-				return spent, false, nil // certified UNSAT at this rung
-			case !errors.Is(exErr, ErrSearchLimit):
-				return nil, false, exErr // context cancellation
-			}
+		if !sol.Feasible && witness != nil {
+			sol = &Solution{Assign: witness, Feasible: true}
 		}
 		if !sol.Feasible {
 			return spent, false, nil
@@ -422,8 +444,5 @@ func trySolve(ctx context.Context, in SegmentInput, level RelaxLevel, params Sol
 			enc.Problem.Add(c)
 		}
 		rounds++
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
 	}
 }

@@ -31,21 +31,21 @@ func SolveExact(ctx context.Context, p *Problem, params ExactParams) ([]bool, bo
 		params.MaxNodes = 2_000_000
 	}
 	s := &exactSearch{p: p, maxNodes: params.MaxNodes, ctx: ctx}
-	s.value = make([]int8, p.NumVars()) // -1 unknown is encoded as 2? no: use 2 for unset
+	s.value = make([]int8, p.NumVars())
 	for i := range s.value {
 		s.value[i] = unset
 	}
-	// Precompute hard-constraint incidence and coefficient bounds.
+	// Precompute the hard constraints and each variable's number of
+	// hard-constraint terms (pickVar's most-constrained order).
+	s.hard = make([]int, 0, len(p.Constraints))
+	s.occ = make([]int, p.NumVars())
 	for ci := range p.Constraints {
 		if !p.Constraints[ci].Hard() {
 			continue
 		}
 		s.hard = append(s.hard, ci)
-	}
-	s.occ = make([][]int, p.NumVars())
-	for _, ci := range s.hard {
 		for _, t := range p.Constraints[ci].Terms {
-			s.occ[t.Var] = append(s.occ[t.Var], ci)
+			s.occ[t.Var]++
 		}
 	}
 	ok := s.dfs()
@@ -68,10 +68,13 @@ func SolveExact(ctx context.Context, p *Problem, params ExactParams) ([]bool, bo
 const unset int8 = 2
 
 type exactSearch struct {
-	p         *Problem
-	hard      []int
-	occ       [][]int
-	value     []int8
+	p     *Problem
+	hard  []int
+	occ   []int // per variable: its number of hard-constraint terms
+	value []int8
+	// trail is the shared undo stack of propagation-forced variables;
+	// each DFS node records its mark and truncates back to it.
+	trail     []int
 	nodes     int
 	maxNodes  int
 	limited   bool
@@ -119,9 +122,9 @@ func (s *exactSearch) constraintFeasible(ci int) bool {
 
 // propagate fixes forced variables: if setting a variable to one value
 // makes some hard constraint infeasible by bounds, the other value is
-// forced. Returns the list of fixed vars (for undo) and whether a
-// contradiction was reached.
-func (s *exactSearch) propagate(trail *[]int) bool {
+// forced. Fixed variables are pushed on the trail (for undo); it
+// reports false when a contradiction was reached.
+func (s *exactSearch) propagate() bool {
 	changed := true
 	for changed {
 		changed = false
@@ -150,7 +153,7 @@ func (s *exactSearch) propagate(trail *[]int) bool {
 				}
 				if forced != unset {
 					s.value[t.Var] = forced
-					*trail = append(*trail, t.Var)
+					s.trail = append(s.trail, t.Var)
 					changed = true
 				}
 			}
@@ -167,8 +170,8 @@ func (s *exactSearch) pickVar() int {
 		if s.value[v] != unset {
 			continue
 		}
-		if len(s.occ[v]) > bestOcc {
-			best, bestOcc = v, len(s.occ[v])
+		if s.occ[v] > bestOcc {
+			best, bestOcc = v, s.occ[v]
 		}
 	}
 	return best
@@ -187,9 +190,9 @@ func (s *exactSearch) dfs() bool {
 			return false
 		}
 	}
-	var trail []int
-	if !s.propagate(&trail) {
-		s.undo(trail)
+	mark := len(s.trail)
+	if !s.propagate() {
+		s.undo(mark)
 		return false
 	}
 	v := s.pickVar()
@@ -199,7 +202,7 @@ func (s *exactSearch) dfs() bool {
 		if s.feasibleBounds() {
 			return true
 		}
-		s.undo(trail)
+		s.undo(mark)
 		return false
 	}
 	for _, val := range [2]int8{1, 0} {
@@ -209,17 +212,20 @@ func (s *exactSearch) dfs() bool {
 		}
 		if s.limited {
 			s.value[v] = unset
-			s.undo(trail)
+			s.undo(mark)
 			return false
 		}
 	}
 	s.value[v] = unset
-	s.undo(trail)
+	s.undo(mark)
 	return false
 }
 
-func (s *exactSearch) undo(trail []int) {
-	for _, v := range trail {
+// undo unsets the variables forced since the trail held mark entries
+// and pops them.
+func (s *exactSearch) undo(mark int) {
+	for _, v := range s.trail[mark:] {
 		s.value[v] = unset
 	}
+	s.trail = s.trail[:mark]
 }

@@ -77,21 +77,24 @@ func (c *Constraint) Violation(assign []bool) int {
 	return c.violationOf(c.LHS(assign))
 }
 
-func (c *Constraint) violationOf(lhs int) int {
-	switch c.Op {
+func (c *Constraint) violationOf(lhs int) int { return violation(c.Op, c.RHS, lhs) }
+
+// violation is how far lhs op rhs is from holding (0 when it holds).
+func violation(op Op, rhs, lhs int) int {
+	switch op {
 	case LE:
-		if lhs > c.RHS {
-			return lhs - c.RHS
+		if lhs > rhs {
+			return lhs - rhs
 		}
 	case GE:
-		if lhs < c.RHS {
-			return c.RHS - lhs
+		if lhs < rhs {
+			return rhs - lhs
 		}
 	case EQ:
-		if lhs > c.RHS {
-			return lhs - c.RHS
+		if lhs > rhs {
+			return lhs - rhs
 		}
-		return c.RHS - lhs
+		return rhs - lhs
 	}
 	return 0
 }

@@ -66,7 +66,9 @@ type Solution struct {
 	// HardViolation and SoftPenalty describe Assign's quality.
 	HardViolation int
 	SoftPenalty   int
-	// Flips counts the total flips performed across restarts.
+	// Flips counts the flips actually performed across restarts (a
+	// restart that succeeds after three flips adds three, not its
+	// MaxFlips budget).
 	Flips int
 	// Restart records which restart produced the best assignment.
 	Restart int
@@ -97,7 +99,9 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 	st := newSearchState(p, params)
 
 	best := &Solution{Assign: make([]bool, p.NumVars()), HardViolation: 1 << 30, SoftPenalty: 1 << 30}
-	totalFlips := 0
+	// clock is the tabu clock: every restart advances it by the full
+	// MaxFlips budget, however many flips the restart performed.
+	clock := 0
 	for restart := 0; restart < params.Restarts; restart++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -114,11 +118,11 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 			if ci < 0 { // all satisfied
 				break
 			}
-			v := st.pickVar(ci, rng, totalFlips+flip)
+			v := st.pickVar(ci, rng, clock+flip)
 			if v < 0 {
 				continue
 			}
-			st.flip(v, totalFlips+flip)
+			st.flip(v, clock+flip)
 			improved := false
 			if st.trueScore() <= best.score(params.HardWeight) {
 				improved = st.recordBest(best, restart)
@@ -136,66 +140,122 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 				}
 			}
 		}
-		totalFlips += params.MaxFlips
+		clock += params.MaxFlips
 		if best.Feasible && best.SoftPenalty == 0 {
 			break
 		}
 	}
-	best.Flips = totalFlips
+	best.Flips = st.flips
 	return best, nil
 }
 
-// searchState holds the incremental data structures of the local search:
-// current assignment, per-constraint LHS values, violation totals, and
-// the variable→constraint incidence index.
+// kcon is one constraint as the flip loop sees it: its op, rhs,
+// search weight and hard flag next to the mutable lhs, violation and
+// violated-set membership, so a flip touches one small record per
+// constraint instead of the Problem's Constraint and four parallel
+// slices.
+type kcon struct {
+	op  Op
+	rhs int
+	// w weighs one unit of violation in flipDelta's search score: the
+	// soft weight, or for a hard constraint HardWeight plus whatever
+	// dynamic weighting has added. Best-solution tracking uses the
+	// true objective instead.
+	w     int
+	lhs   int
+	viol  int
+	hard  bool
+	inSet bool // listed in violSet (and in hard, when hard)
+}
+
+func (c *kcon) violationOf(lhs int) int { return violation(c.op, c.rhs, lhs) }
+
+// occTerm is one incidence of a variable: the constraint it occurs in
+// and its coefficient there, with duplicate terms of the constraint
+// summed.
+type occTerm struct {
+	ci   int
+	coef int
+}
+
+// searchState holds the incremental data structures of the local
+// search. newSearchState compiles the Problem once into a flat view —
+// the kcon records and a per-variable incidence list — so the flip
+// loop never walks Constraint.Terms except to enumerate a picked
+// constraint's candidate variables.
 type searchState struct {
-	p       *Problem
-	params  WSATParams
-	assign  []bool
-	lhs     []int
-	viol    []int // violation per constraint
-	occ     [][]int
-	violSet []int // indices of currently violated constraints (lazy, compacted on pick)
-	inSet   []bool
-	hard    []int // pickViolated's scratch: the violated hard constraints
-	tabu    []int // last flip time per var
+	p      *Problem
+	params WSATParams
+	assign []bool
+	tabu   []int // last flip time per var
+	cons   []kcon
+	// occ[occAt[v]:occAt[v+1]] lists variable v's incidences, by
+	// ascending constraint index.
+	occ   []occTerm
+	occAt []int
+	// violSet lists the violated constraints in the order they became
+	// violated; hard is always its hard-filtered subsequence, in the
+	// same order. Both may hold constraints the last flip satisfied
+	// (stale is then set) until pickViolated compacts them.
+	violSet []int
+	hard    []int
+	stale   bool
+	flips   int // flips performed
 
 	hardViolation int
 	softPenalty   int
-	// Dynamic clause weights: dyn[ci] is the extra per-unit penalty on
-	// hard constraint ci; dynPenalty aggregates viol[ci]*dyn[ci]. Both
-	// shape the search score only — best-solution tracking uses the
-	// true objective.
-	dyn        []int
-	dynPenalty int
 }
 
 func newSearchState(p *Problem, params WSATParams) *searchState {
+	n, m := p.NumVars(), len(p.Constraints)
 	st := &searchState{
-		p:      p,
-		params: params,
-		assign: make([]bool, p.NumVars()),
-		lhs:    make([]int, len(p.Constraints)),
-		viol:   make([]int, len(p.Constraints)),
-		occ:    make([][]int, p.NumVars()),
-		inSet:  make([]bool, len(p.Constraints)),
-		tabu:   make([]int, p.NumVars()),
-		dyn:    make([]int, len(p.Constraints)),
+		p:       p,
+		params:  params,
+		assign:  make([]bool, n),
+		tabu:    make([]int, n),
+		cons:    make([]kcon, m),
+		occAt:   make([]int, n+1),
+		violSet: make([]int, 0, m),
+		hard:    make([]int, 0, m),
 	}
+	// Count, then fill, each variable's incidences. last[v] is one
+	// plus the last constraint that registered v: a repeated term adds
+	// its coefficient to that entry instead of registering again.
+	last := make([]int, n)
 	for ci := range p.Constraints {
-		// Register each constraint once per distinct variable: the
-		// flip routines already sum duplicate terms' coefficients, so
-		// a duplicate occ entry would double-apply the update.
-		seen := map[int]bool{}
+		c := &p.Constraints[ci]
+		st.cons[ci] = kcon{op: c.Op, rhs: c.RHS, w: c.Weight, hard: c.Hard()}
+		for _, t := range c.Terms {
+			if last[t.Var] != ci+1 {
+				last[t.Var] = ci + 1
+				st.occAt[t.Var+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		st.occAt[v+1] += st.occAt[v]
+		last[v] = 0
+	}
+	st.occ = make([]occTerm, st.occAt[n])
+	next := make([]int, n)
+	copy(next, st.occAt[:n])
+	for ci := range p.Constraints {
 		for _, t := range p.Constraints[ci].Terms {
-			if seen[t.Var] {
+			if last[t.Var] == ci+1 {
+				st.occ[next[t.Var]-1].coef += t.Coef
 				continue
 			}
-			seen[t.Var] = true
-			st.occ[t.Var] = append(st.occ[t.Var], ci)
+			last[t.Var] = ci + 1
+			st.occ[next[t.Var]] = occTerm{ci: ci, coef: t.Coef}
+			next[t.Var]++
 		}
 	}
 	return st
+}
+
+// occOf returns variable v's incidence list.
+func (st *searchState) occOf(v int) []occTerm {
+	return st.occ[st.occAt[v]:st.occAt[v+1]]
 }
 
 // trueScore is the unreshaped objective used for best-solution tracking.
@@ -210,10 +270,6 @@ func (st *searchState) randomize(rng *rand.Rand) {
 		st.assign[i] = rng.Intn(2) == 1
 		st.tabu[i] = -1 << 30
 	}
-	for i := range st.dyn {
-		st.dyn[i] = 0
-	}
-	st.dynPenalty = 0
 	st.recompute()
 }
 
@@ -222,31 +278,47 @@ func (st *searchState) randomize(rng *rand.Rand) {
 // minimum.
 func (st *searchState) bumpWeights() {
 	inc := st.params.HardWeight/10 + 1
-	for _, ci := range st.violSet {
-		if st.viol[ci] == 0 || !st.p.Constraints[ci].Hard() {
-			continue
+	for _, ci := range st.hard {
+		if c := &st.cons[ci]; c.viol > 0 {
+			c.w += inc
 		}
-		st.dyn[ci] += inc
-		st.dynPenalty += st.viol[ci] * inc
 	}
 }
 
+// recompute rebuilds every constraint's lhs and violation from the
+// assignment, clears the dynamic weights and relists the violated
+// constraints in index order.
 func (st *searchState) recompute() {
+	for ci := range st.cons {
+		c := &st.cons[ci]
+		c.lhs, c.inSet = 0, false
+		if c.hard {
+			c.w = st.params.HardWeight
+		}
+	}
+	for v, on := range st.assign {
+		if !on {
+			continue
+		}
+		for _, o := range st.occOf(v) {
+			st.cons[o.ci].lhs += o.coef
+		}
+	}
 	st.hardViolation, st.softPenalty = 0, 0
-	st.violSet = st.violSet[:0]
-	for ci := range st.p.Constraints {
-		c := &st.p.Constraints[ci]
-		st.lhs[ci] = c.LHS(st.assign)
-		st.viol[ci] = c.violationOf(st.lhs[ci])
-		st.inSet[ci] = false
-		if st.viol[ci] > 0 {
-			if c.Hard() {
-				st.hardViolation += st.viol[ci]
-			} else {
-				st.softPenalty += st.viol[ci] * c.Weight
-			}
-			st.violSet = append(st.violSet, ci)
-			st.inSet[ci] = true
+	st.violSet, st.hard, st.stale = st.violSet[:0], st.hard[:0], false
+	for ci := range st.cons {
+		c := &st.cons[ci]
+		c.viol = c.violationOf(c.lhs)
+		if c.viol == 0 {
+			continue
+		}
+		st.violSet = append(st.violSet, ci)
+		c.inSet = true
+		if c.hard {
+			st.hardViolation += c.viol
+			st.hard = append(st.hard, ci)
+		} else {
+			st.softPenalty += c.viol * c.w
 		}
 	}
 }
@@ -254,34 +326,38 @@ func (st *searchState) recompute() {
 // pickViolated returns a random violated constraint index, or -1 when
 // everything is satisfied. Hard violations are preferred over soft ones.
 func (st *searchState) pickViolated(rng *rand.Rand) int {
-	// Compact the lazy violated set.
-	w := 0
-	for _, ci := range st.violSet {
-		if st.viol[ci] > 0 {
-			st.violSet[w] = ci
-			w++
-		} else {
-			st.inSet[ci] = false
-		}
+	if st.stale {
+		st.violSet = st.compact(st.violSet)
+		st.hard = st.compact(st.hard)
+		st.stale = false
 	}
-	st.violSet = st.violSet[:w]
+	w := len(st.violSet)
 	if w == 0 {
 		return -1
 	}
 	// Prefer a violated hard constraint with probability proportional
 	// to their share, but always pick hard when any exists and a fair
 	// coin lands hard-side: this keeps pressure on feasibility.
-	hard := st.hard[:0]
-	for _, ci := range st.violSet {
-		if st.p.Constraints[ci].Hard() {
-			hard = append(hard, ci)
-		}
-	}
-	st.hard = hard
+	hard := st.hard
 	if len(hard) > 0 && (len(hard) == w || rng.Float64() < 0.8) {
 		return hard[rng.Intn(len(hard))]
 	}
 	return st.violSet[rng.Intn(w)]
+}
+
+// compact drops the satisfied constraints from list in place, keeping
+// the order of the rest, and marks the dropped ones as unlisted.
+func (st *searchState) compact(list []int) []int {
+	w := 0
+	for _, ci := range list {
+		if st.cons[ci].viol > 0 {
+			list[w] = ci
+			w++
+		} else {
+			st.cons[ci].inSet = false
+		}
+	}
+	return list[:w]
 }
 
 // pickVar chooses which variable of constraint ci to flip: a noise move
@@ -315,60 +391,49 @@ func (st *searchState) pickVar(ci int, rng *rand.Rand, now int) int {
 // flipDelta computes the score change if variable v were flipped.
 func (st *searchState) flipDelta(v int) int {
 	delta := 0
-	dir := 1
-	if st.assign[v] {
-		dir = -1
-	}
-	for _, ci := range st.occ[v] {
-		c := &st.p.Constraints[ci]
-		var coef int
-		for _, t := range c.Terms {
-			if t.Var == v {
-				coef += t.Coef
-			}
+	neg := st.assign[v]
+	for _, o := range st.occOf(v) {
+		c := &st.cons[o.ci]
+		step := o.coef
+		if neg {
+			step = -step
 		}
-		newViol := c.violationOf(st.lhs[ci] + dir*coef)
-		d := newViol - st.viol[ci]
-		if c.Hard() {
-			delta += d * (st.params.HardWeight + st.dyn[ci])
-		} else {
-			delta += d * c.Weight
-		}
+		delta += (c.violationOf(c.lhs+step) - c.viol) * c.w
 	}
 	return delta
 }
 
 // flip applies the flip of variable v and updates incremental state.
 func (st *searchState) flip(v, now int) {
-	dir := 1
-	if st.assign[v] {
-		dir = -1
-	}
-	st.assign[v] = !st.assign[v]
+	neg := st.assign[v]
+	st.assign[v] = !neg
 	st.tabu[v] = now
-	for _, ci := range st.occ[v] {
-		c := &st.p.Constraints[ci]
-		var coef int
-		for _, t := range c.Terms {
-			if t.Var == v {
-				coef += t.Coef
-			}
+	st.flips++
+	for _, o := range st.occOf(v) {
+		c := &st.cons[o.ci]
+		if neg {
+			c.lhs -= o.coef
+		} else {
+			c.lhs += o.coef
 		}
-		st.lhs[ci] += dir * coef
-		newViol := c.violationOf(st.lhs[ci])
-		d := newViol - st.viol[ci]
-		if d != 0 {
-			if c.Hard() {
+		newViol := c.violationOf(c.lhs)
+		if d := newViol - c.viol; d != 0 {
+			if c.hard {
 				st.hardViolation += d
-				st.dynPenalty += d * st.dyn[ci]
 			} else {
-				st.softPenalty += d * c.Weight
+				st.softPenalty += d * c.w
+			}
+			if newViol == 0 {
+				st.stale = true
 			}
 		}
-		st.viol[ci] = newViol
-		if newViol > 0 && !st.inSet[ci] {
-			st.violSet = append(st.violSet, ci)
-			st.inSet[ci] = true
+		c.viol = newViol
+		if newViol > 0 && !c.inSet {
+			c.inSet = true
+			st.violSet = append(st.violSet, o.ci)
+			if c.hard {
+				st.hard = append(st.hard, o.ci)
+			}
 		}
 	}
 }
