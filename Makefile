@@ -13,7 +13,7 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis: determinism, context discipline,
-# error wrapping, float equality, stage purity, deprecated-API calls,
+# error wrapping, float equality, stage purity,
 # the CFG-based concurrency checks, the dataflow checks (rngflow,
 # probflow, aliasflow), the interprocedural call-graph checks
 # (ctxflow, lockflow, httpresp), the schema-lock drift checks
@@ -48,7 +48,7 @@ lint-sarif: vet
 lint-alloc:
 	$(GO) run ./cmd/tableseglint -alloc-inventory > tableseglint-alloc.json
 
-# Self-lint: run the full suite (all 20 analyzers) over the analysis
+# Self-lint: run the full suite (all 19 analyzers) over the analysis
 # machinery itself — so the linter is held to its own invariants — and
 # over the daemon stack (api/v1, internal/server and its client),
 # which was written to pass every concurrency analyzer without

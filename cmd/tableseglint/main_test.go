@@ -152,8 +152,8 @@ func TestSARIFOutput(t *testing.T) {
 		t.Fatalf("not a single-run SARIF 2.1.0 log: version=%q runs=%d", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "tableseglint" || len(run.Tool.Driver.Rules) != 20 {
-		t.Errorf("driver = %q with %d rules, want tableseglint with 20", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "tableseglint" || len(run.Tool.Driver.Rules) != 19 {
+		t.Errorf("driver = %q with %d rules, want tableseglint with 19", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	ruleIDs := map[string]bool{}
 	for _, r := range run.Tool.Driver.Rules {
@@ -188,8 +188,8 @@ func TestListPrintsAllAnalyzers(t *testing.T) {
 		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, stderr)
 	}
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) != 20 {
-		t.Fatalf("-list printed %d lines, want 20:\n%s", len(lines), stdout)
+	if len(lines) != 19 {
+		t.Fatalf("-list printed %d lines, want 19:\n%s", len(lines), stdout)
 	}
 	for _, name := range []string{"determinism", "rngflow", "probflow", "aliasflow", "wiredrift", "codecdrift", "borrowflow", "poolsafe", "hotalloc"} {
 		if !strings.Contains(stdout, name) {

@@ -5,10 +5,10 @@
 // randomness in solver paths, no map-iteration order leaking into
 // results, contexts threaded rather than minted, errors wrapped so
 // sentinel classification survives, goroutines and locks that provably
-// wind down) that ordinary Go tooling does not enforce. The twenty
+// wind down) that ordinary Go tooling does not enforce. The nineteen
 // analyzers in this package check them mechanically over the parsed
 // and type-checked source of every package, using only the standard
-// library (go/parser, go/ast, go/types). Seven are expression-level;
+// library (go/parser, go/ast, go/types). Six are expression-level;
 // the three concurrency analyzers (goroleak, lockdiscipline,
 // chancontract) run over the intra-procedural control-flow graphs of
 // internal/analysis/cfg, so "on every path" facts — a channel closed,
@@ -51,10 +51,6 @@
 //   - stagepurity: enforces the stage-graph layering — stage packages
 //     may not import algorithm, solver or orchestration packages, and
 //     solver packages may not import orchestration packages.
-//   - deprecated: forbids calls to retired in-repo APIs (resolved
-//     through the type checker, so aliases are caught and same-named
-//     methods on other types are not), pointing each surviving call
-//     site at the designated replacement.
 //   - goroleak: every goroutine launched in an exported function must
 //     have a provable exit path — it ranges over (or receives from) a
 //     channel closed on all CFG paths, receives from ctx.Done(), does
@@ -243,10 +239,6 @@ type Config struct {
 	// context.Context to reach every call whose callee may park
 	// indefinitely — the serving path and the solver pipeline.
 	CtxFlowPkgs []string
-	// DeprecatedAPIs are retired functions and methods whose surviving
-	// call sites the deprecated analyzer flags with a pointer at the
-	// replacement.
-	DeprecatedAPIs []DeprecatedAPI
 	// WirePkg is the versioned wire package whose exported types must
 	// stay append-only within their version (wiredrift).
 	WirePkg string
@@ -292,21 +284,6 @@ type SchemaBinding struct {
 	OmitFields []string
 }
 
-// DeprecatedAPI names one retired call target for the deprecated
-// analyzer.
-type DeprecatedAPI struct {
-	// PkgSuffix is the defining package's import-path suffix, matched
-	// like every other package scope ("internal/engine").
-	PkgSuffix string
-	// Type is the receiver type name for methods ("" for package-level
-	// functions); pointer receivers are dereferenced before matching.
-	Type string
-	// Name is the function or method name.
-	Name string
-	// Use names the replacement, quoted in the diagnostic.
-	Use string
-}
-
 // DefaultConfig is the project policy enforced by cmd/tableseglint.
 func DefaultConfig() Config {
 	return Config{
@@ -347,9 +324,6 @@ func DefaultConfig() Config {
 		CtxFlowPkgs: []string{
 			"internal/server", "internal/server/client", "internal/engine",
 			"internal/core", "internal/solvers", "internal/stage",
-		},
-		DeprecatedAPIs: []DeprecatedAPI{
-			{PkgSuffix: "internal/engine", Type: "Engine", Name: "Run", Use: "Stream"},
 		},
 		BorrowPkgs: []string{
 			"internal/htmlx", "internal/token", "internal/stage",
@@ -399,7 +373,7 @@ func isInternal(pkgPath string) bool {
 		pkgPath == "internal"
 }
 
-// Suite returns the twenty analyzers: the seven expression-level
+// Suite returns the nineteen analyzers: the six expression-level
 // checks, the three CFG-based concurrency checks, the three dataflow
 // checks built on internal/analysis/dataflow, the three
 // interprocedural checks built on internal/analysis/callgraph, the
@@ -415,7 +389,6 @@ func Suite() []*Analyzer {
 		ErrWrap(),
 		FloatEq(),
 		StagePurity(),
-		Deprecated(),
 		GoroLeak(),
 		LockDiscipline(),
 		ChanContract(),

@@ -14,7 +14,6 @@ var suiteOrder = []string{
 	"errwrap",
 	"floateq",
 	"stagepurity",
-	"deprecated",
 	"goroleak",
 	"lockdiscipline",
 	"chancontract",

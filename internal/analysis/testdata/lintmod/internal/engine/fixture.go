@@ -181,56 +181,6 @@ func Merge(a, b <-chan int) <-chan int {
 	return out
 }
 
-// Engine is the deprecated-API fixture receiver: DefaultConfig retires
-// its Run method in favour of StreamTasks. The shapes stay channel- and
-// goroutine-free so only the deprecated analyzer speaks here.
-type Engine struct {
-	total int
-}
-
-// Run is the retired batch API. Its own delegation to the replacement
-// is a declaration, not a call to Run, so it stays silent.
-func (e *Engine) Run(ctx context.Context, n int) int {
-	return e.StreamTasks(ctx, n)
-}
-
-// StreamTasks is Run's designated replacement.
-func (e *Engine) StreamTasks(ctx context.Context, n int) int {
-	e.total += n
-	return e.total
-}
-
-// UseEngine still calls the retired alias; the analyzer points it at
-// the replacement.
-func UseEngine(ctx context.Context, e *Engine) int {
-	return e.Run(ctx, 3) // want deprecated "call to deprecated internal/engine.Engine.Run: use Stream"
-}
-
-// UseEngineMigrated calls the replacement: clean.
-func UseEngineMigrated(ctx context.Context, e *Engine) int {
-	return e.StreamTasks(ctx, 3)
-}
-
-// runner is an unrelated type whose same-named method must not match —
-// the analyzer resolves receivers through the type checker.
-type runner struct{}
-
-func (runner) Run(ctx context.Context, n int) int { return n }
-
-// UseRunner is clean: runner.Run is not Engine.Run.
-func UseRunner(ctx context.Context) int {
-	var r runner
-	return r.Run(ctx, 1)
-}
-
-// UseEngineWaived keeps a call on the retired alias deliberately (a
-// compatibility shim mid-migration): the ignore directive suppresses
-// the finding.
-func UseEngineWaived(ctx context.Context, e *Engine) int {
-	//tableseglint:ignore deprecated fixture: migration shim exercising the retired path
-	return e.Run(ctx, 2)
-}
-
 // Gather is the accepted fan-in shape: a dedicated closer joins the
 // forwarders (wg.Wait) before closing. Clean for chancontract, and the
 // closer goroutine is a joiner, so clean for goroleak too.

@@ -3,7 +3,6 @@ package csp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 )
 
@@ -80,7 +79,7 @@ func Encode(in SegmentInput, level RelaxLevel) *Encoding {
 	for i, cands := range in.Candidates {
 		e.varOf[i] = make(map[int]int, len(cands))
 		for _, j := range cands {
-			e.varOf[i][j] = p.AddVar(fmt.Sprintf("x[%d,%d]", i, j))
+			e.varOf[i][j] = p.AddVar("")
 		}
 	}
 
@@ -111,8 +110,8 @@ func Encode(in SegmentInput, level RelaxLevel) *Encoding {
 			continue
 		}
 		blockTerms := make([]Term, 0, len(blocks))
-		for b, block := range blocks {
-			y := p.AddVar(fmt.Sprintf("blk[%d,%d]", j, b))
+		for _, block := range blocks {
+			y := p.AddVar("")
 			e.blockVars++
 			blockTerms = append(blockTerms, Term{1, y})
 			for _, i := range block {

@@ -141,8 +141,8 @@ type Problem struct {
 // NewProblem creates an empty problem.
 func NewProblem() *Problem { return &Problem{} }
 
-// AddVar introduces a new 0/1 variable with a diagnostic name and
-// returns its index.
+// AddVar introduces a new 0/1 variable with a diagnostic name ("" for
+// none) and returns its index.
 func (p *Problem) AddVar(name string) int {
 	p.names = append(p.names, name)
 	p.numVars++

@@ -103,6 +103,12 @@ func TestVarName(t *testing.T) {
 	if p.VarName(0) != "x[0,1]" {
 		t.Errorf("VarName(0) = %q", p.VarName(0))
 	}
+	// Encode and AssignColumns leave their variables unnamed: the
+	// diagnostic name is then the index.
+	p.AddVar("")
+	if p.VarName(1) != "x1" {
+		t.Errorf("VarName(1) = %q", p.VarName(1))
+	}
 	if p.VarName(42) != "x42" {
 		t.Errorf("VarName(42) = %q", p.VarName(42))
 	}

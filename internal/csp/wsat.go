@@ -94,6 +94,17 @@ func (s *Solution) score(hardWeight int) int {
 // for a fixed seed), while a cancelled one returns ctx.Err() within
 // one restart's worth of flips.
 func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solution, error) {
+	return solveWSATFloor(ctx, p, params, 0)
+}
+
+// solveWSATFloor is SolveWSATContext stopping as soon as the best
+// assignment is feasible with a soft penalty of at most floor, instead
+// of only at 0. When floor is the least soft penalty of any feasible
+// assignment and at most HardWeight, no later assignment could score
+// strictly lower — a feasible one scores at least floor, an infeasible
+// one at least HardWeight — so the stop returns the very Assign and
+// Feasible the full budget would; only the work counters shrink.
+func solveWSATFloor(ctx context.Context, p *Problem, params WSATParams, floor int) (*Solution, error) {
 	params = params.withDefaults(p.NumVars())
 	rng := rand.New(rand.NewSource(params.Seed))
 	st := newSearchState(p, params)
@@ -109,7 +120,7 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 		best.Restarts = restart + 1
 		st.randomize(rng)
 		st.recordBest(best, restart)
-		if best.Feasible && best.SoftPenalty == 0 {
+		if best.Feasible && best.SoftPenalty <= floor {
 			break
 		}
 		stagnant := 0
@@ -126,7 +137,7 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 			improved := false
 			if st.trueScore() <= best.score(params.HardWeight) {
 				improved = st.recordBest(best, restart)
-				if best.Feasible && best.SoftPenalty == 0 {
+				if best.Feasible && best.SoftPenalty <= floor {
 					break
 				}
 			}
@@ -141,7 +152,7 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 			}
 		}
 		clock += params.MaxFlips
-		if best.Feasible && best.SoftPenalty == 0 {
+		if best.Feasible && best.SoftPenalty <= floor {
 			break
 		}
 	}

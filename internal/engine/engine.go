@@ -564,15 +564,6 @@ func (e *Engine) Stream(ctx context.Context, tasks <-chan Task) <-chan Result {
 	return out
 }
 
-// Run is a deprecated alias for Stream, kept for callers of the
-// original batch API.
-//
-// Deprecated: use Stream.
-func (e *Engine) Run(ctx context.Context, tasks <-chan Task) <-chan Result {
-	//tableseglint:ignore deprecated the deprecated alias must delegate to its own replacement
-	return e.Stream(ctx, tasks) //tableseglint:ignore chancontract deprecated delegating alias; Stream owns and closes the stream
-}
-
 // Submit admits one task into the engine's long-lived worker-slot pool
 // and returns a 1-buffered channel that receives the task's Result and
 // is then closed, so a caller may receive or range. Unlike Stream —
