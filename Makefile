@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json lint-sarif lint-self lint-alloc update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results results-check corpus cover fuzz clean
+.PHONY: all build test vet lint lint-json lint-sarif lint-self update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results results-check corpus cover fuzz clean
 
 all: build check
 
@@ -18,46 +18,31 @@ vet:
 # probflow, aliasflow), the interprocedural call-graph checks
 # (ctxflow, lockflow, httpresp), the schema-lock drift checks
 # (wiredrift, codecdrift) and the escape/borrow checks (borrowflow,
-# poolsafe, hotalloc — see internal/analysis). Exits non-zero on any
-# finding. The committed lint/hotalloc-baseline.json suppresses the
-# known hot-path allocation sites (the perf work's worklist), so only
-# *new* sites gate; -baseline-strict keeps it honest — fixing a site
-# without re-recording the baseline fails the run. LINTCACHE keys
-# cached per-package results by content hash; set LINTCACHE= to force
-# a full re-analysis.
-LINTCACHE ?= .tableseglint-cache
-LINTBASELINE = -baseline lint/hotalloc-baseline.json -baseline-strict
-
+# poolsafe — see internal/analysis). Exits non-zero on any finding;
+# a `//tableseglint:ignore <analyzer> <reason>` directive at the site
+# is the one way to silence one.
 lint: vet
-	$(GO) run ./cmd/tableseglint -cache '$(LINTCACHE)' $(LINTBASELINE)
+	$(GO) run ./cmd/tableseglint
 
 # Machine-readable variants of the same gate: a flat JSON array for
 # scripting, and a SARIF 2.1.0 log (written to tableseglint.sarif,
 # what the CI lint job uploads as an artifact). Both exit 1 on
 # findings, like lint.
 lint-json: vet
-	$(GO) run ./cmd/tableseglint -json -cache '$(LINTCACHE)' $(LINTBASELINE)
+	$(GO) run ./cmd/tableseglint -json
 
 lint-sarif: vet
-	$(GO) run ./cmd/tableseglint -sarif -cache '$(LINTCACHE)' $(LINTBASELINE) > tableseglint.sarif
+	$(GO) run ./cmd/tableseglint -sarif > tableseglint.sarif
 
-# Advisory allocation-site inventory for the declared hot paths
-# (lint/hotpaths.conf): runs hotalloc alone, unfiltered by the
-# baseline, and writes the JSON artifact CI uploads. Always exits 0 —
-# the inventory is the burn-down chart, the lint gate is above.
-lint-alloc:
-	$(GO) run ./cmd/tableseglint -alloc-inventory > tableseglint-alloc.json
-
-# Self-lint: run the full suite (all 19 analyzers) over the analysis
+# Self-lint: run the full suite (all 18 analyzers) over the analysis
 # machinery itself — so the linter is held to its own invariants — and
 # over the daemon stack (api/v1, internal/server and its client),
 # which was written to pass every concurrency analyzer without
 # exemptions. Including api/v1 also makes wiredrift gate the committed
-# wire lock here. -baseline-strict keeps the (currently empty)
-# baseline honest: a stale suppression fails the run. CI's selflint
-# job runs this and uploads tableseglint-self.sarif.
+# wire lock here. CI's selflint job runs this and uploads
+# tableseglint-self.sarif.
 lint-self:
-	$(GO) run ./cmd/tableseglint -cache '$(LINTCACHE)' -baseline lint/selflint-baseline.json -baseline-strict internal/analysis internal/analysis/schema internal/analysis/callgraph internal/analysis/cfg internal/analysis/dataflow internal/analysis/escape cmd/tableseglint api/v1 internal/server internal/server/client
+	$(GO) run ./cmd/tableseglint internal/analysis internal/analysis/schema internal/analysis/callgraph internal/analysis/cfg internal/analysis/dataflow internal/analysis/escape cmd/tableseglint api/v1 internal/server internal/server/client
 
 # Regenerate the two committed schema locks (lint/schema-apiv1.lock,
 # lint/schema-artifacts.lock) from the live tree. Deterministic: a
@@ -123,20 +108,25 @@ results-check:
 
 # One benchmark per table/figure (see DESIGN.md's index), plus the
 # per-stage microbenchmarks. The stage/solver results are exported as
-# BENCH_stages.json for structured regression diffs.
+# BENCH_stages.json, stamped with the Go version, goos, goarch, cpu and
+# GOMAXPROCS they were measured on.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -filter '^(Stage|Solver)' -out BENCH_stages.json
 
-# The stage/solver microbenchmarks alone (what CI smoke-runs).
+# Re-record the committed allocs/op ledger from the stage/solver
+# microbenchmarks alone.
 bench-stages:
 	$(GO) test -bench '^(BenchmarkStage|BenchmarkSolver)' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -filter '^(Stage|Solver)' -out BENCH_stages.json
 
-# Re-run the stage/solver microbenchmarks and diff against the
-# committed BENCH_stages.json. Advisory: regressions beyond the
-# tolerance are printed, never fatal (CI runners jitter), and the
-# committed file is left untouched.
+# The allocs/op gate: re-run the stage/solver microbenchmarks and check
+# them against the committed BENCH_stages.json, which is left
+# untouched. Fails when any row's allocs/op grew, when a row is missing
+# from the run, or when the Go version, goos or goarch differs from the
+# ledger's stamp (re-record with `make bench-stages`). allocs/op is
+# deterministic, so the gate does not flake; ns/op growth beyond 30%
+# is printed as a warning only (machines jitter).
 bench-check:
-	$(GO) test -bench '^(BenchmarkStage|BenchmarkSolver)' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -filter '^(Stage|Solver)' -baseline BENCH_stages.json -tolerance 30 -out /dev/null
+	$(GO) test -bench '^(BenchmarkStage|BenchmarkSolver)' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -filter '^(Stage|Solver)' -baseline BENCH_stages.json -out /dev/null
 
 # Render the synthetic twelve-site corpus to ./corpus.
 corpus:
@@ -154,5 +144,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzArtifactCodec -fuzztime=30s ./internal/stage
 
 clean:
-	rm -rf corpus .tableseglint-cache
-	rm -f tableseglint.sarif tableseglint-alloc.json
+	rm -rf corpus
+	rm -f tableseglint.sarif tableseglint-self.sarif

@@ -1,12 +1,15 @@
 package main
 
-// Baseline comparison: `benchjson -baseline BENCH_stages.json` diffs
-// the freshly parsed report against a previously committed one and
-// prints a warning for every benchmark whose ns/op grew by more than
-// -tolerance percent. The comparison is advisory — microbenchmarks on
-// shared CI runners jitter too much for a hard gate — so regressions
-// never change the exit status; they are meant to be read, not to
-// block. `make bench-check` wires this up.
+// Baseline gate: `benchjson -baseline BENCH_stages.json` checks the
+// freshly parsed report against the committed one. allocs/op is
+// deterministic for a given toolchain and code, so it gates: the run
+// fails when any baseline row's allocs/op grew, when a baseline row is
+// missing from the run (renaming a benchmark cannot dodge the gate), or
+// when the run's Go version, goos or goarch differs from the baseline's
+// stamp (allocation counts are only comparable under the same
+// toolchain; re-record with `make bench-stages`). ns/op jitters on
+// shared machines, so its growth beyond nsTolerancePct is printed as a
+// warning and never fails the run. `make bench-check` wires this up.
 
 import (
 	"encoding/json"
@@ -15,6 +18,10 @@ import (
 	"os"
 	"sort"
 )
+
+// nsTolerancePct is the ns/op growth, in percent, beyond which a
+// benchmark is reported as slower (advisory only).
+const nsTolerancePct = 30
 
 // loadReport reads a report previously written by benchjson -out.
 func loadReport(path string) (*Report, error) {
@@ -29,44 +36,63 @@ func loadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
-// compare writes one line per regressed, missing or new benchmark to w
-// and returns the number of regressions beyond the tolerance.
-func compare(w io.Writer, baseline, current *Report, tolerancePct float64) int {
-	old := make(map[string]Record, len(baseline.Benchmarks))
-	for _, r := range baseline.Benchmarks {
-		old[r.Name] = r
+// compare writes one line per gate failure, ns/op warning, allocs/op
+// improvement and new benchmark to w, and returns the number of gate
+// failures.
+func compare(w io.Writer, baseline, current *Report) int {
+	failures := 0
+	fail := func(format string, args ...any) {
+		failures++
+		fmt.Fprintf(w, "benchjson: FAIL "+format+"\n", args...)
 	}
-	regressions := 0
-	seen := make(map[string]bool, len(current.Benchmarks))
+	bs, cs := baseline.Stamp, current.Stamp
+	if bs.GoVersion != cs.GoVersion || bs.GOOS != cs.GOOS || bs.GOARCH != cs.GOARCH {
+		recorded := fmt.Sprintf("was recorded with %s %s/%s", bs.GoVersion, bs.GOOS, bs.GOARCH)
+		if bs == (Stamp{}) {
+			recorded = "has no stamp"
+		}
+		fail("run is %s %s/%s but the baseline %s; re-record it with `make bench-stages`",
+			cs.GoVersion, cs.GOOS, cs.GOARCH, recorded)
+	}
+
+	cur := make(map[string]Record, len(current.Benchmarks))
 	for _, r := range current.Benchmarks {
-		seen[r.Name] = true
-		prev, ok := old[r.Name]
+		cur[r.Name] = r
+	}
+	for _, prev := range baseline.Benchmarks {
+		r, ok := cur[prev.Name]
 		if !ok {
-			fmt.Fprintf(w, "benchjson: %s: new benchmark, no baseline\n", r.Name)
+			fail("%s: in the baseline but not in this run", prev.Name)
 			continue
 		}
-		if prev.NsPerOp <= 0 {
-			continue
+		switch {
+		case prev.AllocsPerOp == nil:
+		case r.AllocsPerOp == nil:
+			fail("%s: no allocs/op in this run (run with -benchmem)", r.Name)
+		case *r.AllocsPerOp > *prev.AllocsPerOp:
+			fail("%s: allocs/op grew %d -> %d", r.Name, *prev.AllocsPerOp, *r.AllocsPerOp)
+		case *r.AllocsPerOp < *prev.AllocsPerOp:
+			fmt.Fprintf(w, "benchjson: %s: allocs/op fell %d -> %d; re-record with `make bench-stages` to lock it in\n",
+				r.Name, *prev.AllocsPerOp, *r.AllocsPerOp)
 		}
-		deltaPct := (r.NsPerOp - prev.NsPerOp) / prev.NsPerOp * 100
-		if deltaPct > tolerancePct {
-			regressions++
-			fmt.Fprintf(w, "benchjson: %s: ns/op regressed %+.1f%% (%.0f -> %.0f), tolerance %.0f%%\n",
-				r.Name, deltaPct, prev.NsPerOp, r.NsPerOp, tolerancePct)
+		if prev.NsPerOp > 0 {
+			if deltaPct := (r.NsPerOp - prev.NsPerOp) / prev.NsPerOp * 100; deltaPct > nsTolerancePct {
+				fmt.Fprintf(w, "benchjson: %s: ns/op grew %+.1f%% (%.0f -> %.0f), beyond %d%% (advisory)\n",
+					r.Name, deltaPct, prev.NsPerOp, r.NsPerOp, nsTolerancePct)
+			}
 		}
+		delete(cur, prev.Name)
 	}
-	var gone []string
-	for name := range old {
-		if !seen[name] {
-			gone = append(gone, name)
-		}
+	added := make([]string, 0, len(cur))
+	for name := range cur {
+		added = append(added, name)
 	}
-	sort.Strings(gone)
-	for _, name := range gone {
-		fmt.Fprintf(w, "benchjson: %s: present in baseline but not in this run\n", name)
+	sort.Strings(added)
+	for _, name := range added {
+		fmt.Fprintf(w, "benchjson: %s: new benchmark, not in the baseline\n", name)
 	}
-	if regressions > 0 {
-		fmt.Fprintf(w, "benchjson: %d benchmark(s) beyond tolerance (advisory; not failing the run)\n", regressions)
+	if failures > 0 {
+		fmt.Fprintf(w, "benchjson: %d allocs/op gate failure(s)\n", failures)
 	}
-	return regressions
+	return failures
 }

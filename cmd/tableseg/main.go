@@ -295,10 +295,7 @@ func emitJSON(w io.Writer, seg *tableseg.Segmentation, m tableseg.Method) error 
 // printStats reports the engine's per-stage instrumentation and cache
 // counters.
 func printStats(w io.Writer, st tableseg.TaskStats, cs tableseg.CacheStats) {
-	fmt.Fprintf(w, "stats: wall=%v tokenize=%v template=%v extract=%v solve=%v\n",
-		st.Wall.Round(time.Microsecond), st.TokenizeTime.Round(time.Microsecond),
-		st.TemplateTime.Round(time.Microsecond), st.ExtractTime.Round(time.Microsecond),
-		st.SolveTime.Round(time.Microsecond))
+	fmt.Fprintf(w, "stats: wall=%v\n", st.Wall.Round(time.Microsecond))
 	for _, s := range st.Stages {
 		fmt.Fprintf(w, "stats: stage=%s calls=%d time=%v\n",
 			s.Name, s.Calls, s.Duration.Round(time.Microsecond))

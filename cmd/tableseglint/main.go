@@ -5,15 +5,13 @@
 // channel-ownership), dataflow (RNG-provenance, probability,
 // aliasing), interprocedural (context-flow, lock-flow,
 // handler-response), schema-lock (wire/codec drift) and escape/borrow
-// (borrowed-view, pool-checkout, hot-path-allocation) invariants with
-// file:line positions.
+// (borrowed-view, pool-checkout) invariants with file:line positions.
 //
 // Usage:
 //
-//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [-baseline file [-baseline-strict]] [-cache dir] [-jobs n] [-timing] [packages...]
+//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [-jobs n] [-timing] [packages...]
 //	tableseglint -list
 //	tableseglint [-root dir] -update-locks
-//	tableseglint [-root dir] -alloc-inventory [packages...]
 //
 // With no package arguments every package under the module root is
 // checked (testdata, corpus and hidden directories are skipped).
@@ -28,38 +26,23 @@
 // breaking change — a dropped/retyped/retagged wire field or a codec
 // shape change without a version bump aborts the rewrite with exit 1.
 //
-// The hotalloc analyzer only runs inside the packages the committed
-// lint/hotpaths.conf declares hot (no file, no findings).
-// -alloc-inventory runs hotalloc alone and emits a JSON inventory of
-// every allocation site by kind; it always exits 0 — the inventory is
-// the advisory artifact the perf work burns down, while the ordinary
-// lint run gates only findings not yet in the committed baseline.
-//
 // -list prints every analyzer's name and one-line doc and exits.
 // -analyzers runs only the named subset (comma-separated; unknown
-// names are a usage error). -baseline replays a previous `-json` run
-// and suppresses every finding already recorded there, so CI fails
-// only on findings introduced since the baseline was cut;
-// -baseline-strict additionally fails the run when the baseline holds
-// stale entries that matched nothing.
+// names are a usage error). The one way to silence a finding is a
+// "//tableseglint:ignore <analyzer> <reason>" directive at the site.
 //
 // The interprocedural analyzers consume whole-module call-graph
 // summaries, so the driver loads packages once, builds the fact base,
-// and then analyzes packages in parallel (bounded by -jobs). -cache
-// names a directory holding per-package diagnostics keyed by a
-// content hash of the package, its transitive module-local imports,
-// go.mod and the analyzer selection; warm entries skip loading and
-// analysis entirely and the merged output is byte-identical either
-// way. -timing prints per-analyzer wall time per package to stderr.
+// and then analyzes packages in parallel (bounded by -jobs). -timing
+// prints per-analyzer wall time per package to stderr.
 //
 // Output is plain file:line text by default; -json emits a flat JSON
 // array and -sarif a SARIF 2.1.0 log for CI code-scanning upload.
 // Whatever the format, diagnostics are ordered by file, line and
 // column across all packages, so output is diff-stable.
 //
-// Exit codes: 0 when the tree is clean, 1 when findings survive (or
-// -baseline-strict finds stale suppressions), 2 on usage or load
-// errors.
+// Exit codes: 0 when the tree is clean, 1 when findings survive, 2 on
+// usage or load errors.
 package main
 
 import (
@@ -90,14 +73,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	asJSON := flags.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := flags.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	analyzerList := flags.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	baselinePath := flags.String("baseline", "", "JSON file from a previous -json run; findings recorded there are suppressed")
-	baselineStrict := flags.Bool("baseline-strict", false, "with -baseline: fail when the baseline holds stale entries that matched nothing")
-	cacheDir := flags.String("cache", "", "directory for the per-package diagnostic cache (empty: cache disabled)")
 	jobs := flags.Int("jobs", runtime.NumCPU(), "maximum packages analyzed concurrently")
 	timing := flags.Bool("timing", false, "print per-analyzer wall time per package to stderr")
 	list := flags.Bool("list", false, "print analyzer names and docs, then exit")
 	updateLocks := flags.Bool("update-locks", false, "regenerate the schema lock files from the live tree, then exit")
-	allocInventory := flags.Bool("alloc-inventory", false, "emit the hotalloc allocation-site inventory as JSON and exit 0 (advisory)")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -105,31 +84,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tableseglint: -json and -sarif are mutually exclusive")
 		return 2
 	}
-	if *baselineStrict && *baselinePath == "" {
-		fmt.Fprintln(stderr, "tableseglint: -baseline-strict requires -baseline")
-		return 2
-	}
 	if *updateLocks {
-		if *asJSON || *asSARIF || *baselinePath != "" || *analyzerList != "" || len(flags.Args()) > 0 {
+		if *asJSON || *asSARIF || *analyzerList != "" || len(flags.Args()) > 0 {
 			fmt.Fprintln(stderr, "tableseglint: -update-locks takes no other modes or package arguments")
 			return 2
 		}
 		return runUpdateLocks(*root, stdout, stderr)
-	}
-	if *allocInventory {
-		if *asJSON || *asSARIF || *baselinePath != "" || *analyzerList != "" || *list {
-			fmt.Fprintln(stderr, "tableseglint: -alloc-inventory takes no other output modes or analyzer selection")
-			return 2
-		}
-		return runAllocInventory(runConfig{
-			root:     *root,
-			pkgDirs:  flags.Args(),
-			suite:    analysis.Suite(),
-			cacheDir: *cacheDir,
-			jobs:     *jobs,
-			timing:   *timing,
-			stderr:   stderr,
-		}, stdout, stderr)
 	}
 
 	suite := analysis.Suite()
@@ -149,38 +109,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags, err := run(runConfig{
-		root:     *root,
-		pkgDirs:  flags.Args(),
-		suite:    suite,
-		cacheDir: *cacheDir,
-		jobs:     *jobs,
-		timing:   *timing,
-		stderr:   stderr,
+		root:    *root,
+		pkgDirs: flags.Args(),
+		suite:   suite,
+		jobs:    *jobs,
+		timing:  *timing,
+		stderr:  stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "tableseglint:", err)
 		return 2
-	}
-	staleBaseline := false
-	if *baselinePath != "" {
-		baseline, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tableseglint:", err)
-			return 2
-		}
-		var suppressed int
-		var stale []string
-		diags, suppressed, stale = baseline.FilterStrict(diags)
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "tableseglint: %d baseline finding(s) suppressed\n", suppressed)
-		}
-		if *baselineStrict && len(stale) > 0 {
-			staleBaseline = true
-			fmt.Fprintf(stderr, "tableseglint: %d stale baseline entr(ies) matched nothing; re-record the baseline:\n", len(stale))
-			for _, s := range stale {
-				fmt.Fprintf(stderr, "  stale: %s\n", s)
-			}
-		}
 	}
 
 	switch {
@@ -205,9 +143,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if n := len(diags); n > 0 {
 		fmt.Fprintf(stderr, "tableseglint: %d finding(s)\n", n)
-		return 1
-	}
-	if staleBaseline {
 		return 1
 	}
 	return 0
@@ -248,20 +183,17 @@ func selectAnalyzers(suite []*analysis.Analyzer, names string) ([]*analysis.Anal
 
 // runConfig carries one lint invocation's settings into run.
 type runConfig struct {
-	root     string
-	pkgDirs  []string
-	suite    []*analysis.Analyzer
-	cacheDir string
-	jobs     int
-	timing   bool
-	stderr   io.Writer
+	root    string
+	pkgDirs []string
+	suite   []*analysis.Analyzer
+	jobs    int
+	timing  bool
+	stderr  io.Writer
 }
 
-// pkgResult is one package's outcome, keyed for deterministic
-// reporting whatever order the workers finish in.
+// pkgResult is one package's outcome, indexed like the package list
+// for deterministic reporting whatever order the workers finish in.
 type pkgResult struct {
-	dir     string
-	cached  bool
 	diags   []analysis.Diagnostic
 	timings []analysis.AnalyzerTiming
 }
@@ -271,17 +203,10 @@ func run(rc runConfig) ([]analysis.Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The schema locks are analyzer inputs: load them before either the
-	// cache keyer (their bytes are part of every key) or the analysis
-	// pass. A corrupt lock is a usage error, not something to lint past.
+	// The schema locks are analyzer inputs: a corrupt lock is a usage
+	// error, not something to lint past.
 	cfg := analysis.DefaultConfig()
 	if err := analysis.LoadSchemaLocks(&cfg, rc.root); err != nil {
-		return nil, err
-	}
-	// Same for the hot-path declaration: hotalloc only runs in the
-	// packages lint/hotpaths.conf opts in, so its bytes are analyzer
-	// input (and cache-key salt) exactly like the locks.
-	if err := analysis.LoadHotPaths(&cfg, rc.root); err != nil {
 		return nil, err
 	}
 	pkgDirs := rc.pkgDirs
@@ -292,92 +217,49 @@ func run(rc runConfig) ([]analysis.Diagnostic, error) {
 		}
 	}
 
-	results := make(map[string]*pkgResult, len(pkgDirs))
-
-	// Warm-cache pass: decide hit or miss from content hashes alone,
-	// without loading anything.
-	var keys map[string]string
-	if rc.cacheDir != "" {
-		keyer := newCacheKeyer(rc.root, modPath, rc.suite, []string{cfg.WireLockPath, cfg.CodecLockPath, cfg.HotPathsPath})
-		keys = make(map[string]string, len(pkgDirs))
-		for _, dir := range pkgDirs {
-			key, err := keyer.key(dir)
-			if err != nil {
-				// Unkeyable (e.g. parse error): fall through to a real
-				// load, which reports the error properly.
-				continue
-			}
-			keys[dir] = key
-			if diags, ok := cacheLoad(rc.cacheDir, key); ok {
-				results[dir] = &pkgResult{dir: dir, cached: true, diags: diags}
-			}
-		}
-	}
-
-	// Load the misses (the loader pulls module-local dependencies in
+	// Load the packages (the loader pulls module-local dependencies in
 	// recursively, so the fact base sees every callee) and build the
 	// shared call-graph summaries.
-	var missDirs []string
-	for _, dir := range pkgDirs {
-		if results[dir] == nil {
-			missDirs = append(missDirs, dir)
+	loader := analysis.NewLoader(rc.root, modPath)
+	pkgs := make([]*analysis.Package, len(pkgDirs))
+	for i, dir := range pkgDirs {
+		pkg, err := loader.LoadDir(filepath.Join(rc.root, dir))
+		if err != nil {
+			return nil, err
 		}
+		pkgs[i] = pkg
 	}
-	if len(missDirs) > 0 {
-		loader := analysis.NewLoader(rc.root, modPath)
-		missPkgs := make([]*analysis.Package, len(missDirs))
-		for i, dir := range missDirs {
-			pkg, err := loader.LoadDir(filepath.Join(rc.root, dir))
-			if err != nil {
-				return nil, err
-			}
-			missPkgs[i] = pkg
-		}
-		facts := analysis.BuildFacts(loader.Packages())
+	facts := analysis.BuildFacts(loader.Packages())
 
-		// The fact base and config are read-only now; analyze packages
-		// in parallel, bounded by -jobs.
-		jobs := rc.jobs
-		if jobs < 1 {
-			jobs = 1
-		}
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for i, dir := range missDirs {
-			wg.Add(1)
-			go func(dir string, pkg *analysis.Package) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				diags, timings := analysis.RunTimed(pkg, cfg, rc.suite, facts)
-				mu.Lock()
-				results[dir] = &pkgResult{dir: dir, diags: diags, timings: timings}
-				mu.Unlock()
-			}(dir, missPkgs[i])
-		}
-		wg.Wait()
-
-		if rc.cacheDir != "" {
-			for _, dir := range missDirs {
-				if key, ok := keys[dir]; ok {
-					cacheStore(rc.cacheDir, key, results[dir].diags)
-				}
-			}
-		}
+	// The fact base and config are read-only now; analyze packages in
+	// parallel, bounded by -jobs. Each worker writes only its own slot.
+	jobs := rc.jobs
+	if jobs < 1 {
+		jobs = 1
 	}
+	results := make([]pkgResult, len(pkgDirs))
+	sem := make(chan struct{}, jobs)
+	var wg sync.WaitGroup
+	for i, pkg := range pkgs {
+		wg.Add(1)
+		go func(r *pkgResult, pkg *analysis.Package) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			r.diags, r.timings = analysis.RunTimed(pkg, cfg, rc.suite, facts)
+		}(&results[i], pkg)
+	}
+	wg.Wait()
 
 	if rc.timing {
 		printTimings(rc.stderr, pkgDirs, results)
 	}
 
 	// Merge and re-sort across packages so the combined stream is one
-	// deterministic file:line sequence, cache hits and misses alike.
+	// deterministic file:line sequence.
 	var diags []analysis.Diagnostic
-	for _, dir := range pkgDirs {
-		if r := results[dir]; r != nil {
-			diags = append(diags, r.diags...)
-		}
+	for _, r := range results {
+		diags = append(diags, r.diags...)
 	}
 	analysis.SortDiagnostics(diags)
 	return diags, nil
@@ -385,18 +267,10 @@ func run(rc runConfig) ([]analysis.Diagnostic, error) {
 
 // printTimings writes one line per package in deterministic order:
 // the package dir, then each analyzer's wall time in suite order.
-func printTimings(w io.Writer, pkgDirs []string, results map[string]*pkgResult) {
-	for _, dir := range pkgDirs {
-		r := results[dir]
-		if r == nil {
-			continue
-		}
-		if r.cached {
-			fmt.Fprintf(w, "timing %-28s (cached)\n", dir)
-			continue
-		}
-		parts := make([]string, 0, len(r.timings))
-		for _, tm := range r.timings {
+func printTimings(w io.Writer, pkgDirs []string, results []pkgResult) {
+	for i, dir := range pkgDirs {
+		parts := make([]string, 0, len(results[i].timings))
+		for _, tm := range results[i].timings {
 			parts = append(parts, fmt.Sprintf("%s=%s", tm.Analyzer, tm.Elapsed.Round(10_000)))
 		}
 		fmt.Fprintf(w, "timing %-28s %s\n", dir, strings.Join(parts, " "))

@@ -5,10 +5,10 @@
 // randomness in solver paths, no map-iteration order leaking into
 // results, contexts threaded rather than minted, errors wrapped so
 // sentinel classification survives, goroutines and locks that provably
-// wind down) that ordinary Go tooling does not enforce. The nineteen
+// wind down) that ordinary Go tooling does not enforce. The eighteen
 // analyzers in this package check them mechanically over the parsed
 // and type-checked source of every package, using only the standard
-// library (go/parser, go/ast, go/types). Six are expression-level;
+// library (go/parser, go/ast, go/types). Five are expression-level;
 // the three concurrency analyzers (goroleak, lockdiscipline,
 // chancontract) run over the intra-procedural control-flow graphs of
 // internal/analysis/cfg, so "on every path" facts — a channel closed,
@@ -113,12 +113,6 @@
 //   - poolsafe: a value checked out of a sync.Pool/arena Get must
 //     reach the matching Put on every CFG path, must not escape while
 //     checked out, and must not be used after an explicit Put.
-//   - hotalloc: inside the packages committed to lint/hotpaths.conf,
-//     avoidable allocation sites — string([]byte)/[]byte(string)
-//     conversions, fmt.Sprintf, append-in-loop without a capacity
-//     hint, float64 interface boxing — are flagged with a parseable
-//     allocation kind, feeding the -alloc-inventory artifact and the
-//     perf burn-down baseline.
 //
 // A diagnostic can be suppressed by a "//tableseglint:ignore <name>
 // <reason>" comment on the same line or the line above. The reason is
@@ -258,12 +252,6 @@ type Config struct {
 	// from outliving the call — the packages the zero-copy hot-path
 	// refactor will rewrite.
 	BorrowPkgs []string
-	// HotPkgs are the packages hotalloc inventories for avoidable
-	// allocation sites, loaded from the committed hot-paths file by
-	// LoadHotPaths; empty leaves hotalloc dormant. HotPathsPath names
-	// the file in diagnostics and cache salts.
-	HotPkgs      []string
-	HotPathsPath string
 }
 
 // SchemaBinding ties one codec-encoded struct to the version constant
@@ -373,15 +361,15 @@ func isInternal(pkgPath string) bool {
 		pkgPath == "internal"
 }
 
-// Suite returns the nineteen analyzers: the six expression-level
+// Suite returns the eighteen analyzers: the five expression-level
 // checks, the three CFG-based concurrency checks, the three dataflow
 // checks built on internal/analysis/dataflow, the three
 // interprocedural checks built on internal/analysis/callgraph, the
 // two schema-lock checks built on internal/analysis/schema, and the
 // two escape/borrow checks built on internal/analysis/escape. The
 // order is fixed — registration is this literal, never init-order or
-// map-iteration dependent — because the driver's cache keys and the
-// -list output both derive from it.
+// map-iteration dependent — because the -list output and the SARIF
+// rule array both derive from it.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism(),
@@ -402,7 +390,6 @@ func Suite() []*Analyzer {
 		CodecDrift(),
 		BorrowFlow(),
 		PoolSafe(),
-		HotAlloc(),
 	}
 }
 

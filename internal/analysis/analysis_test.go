@@ -47,10 +47,6 @@ func loadFixtureDiagnostics(t *testing.T) []Diagnostic {
 	if err := LoadSchemaLocks(&cfg, root); err != nil {
 		t.Fatalf("LoadSchemaLocks: %v", err)
 	}
-	// ... and its own hot-path declaration, so hotalloc runs live too.
-	if err := LoadHotPaths(&cfg, root); err != nil {
-		t.Fatalf("LoadHotPaths: %v", err)
-	}
 	var diags []Diagnostic
 	for _, dir := range fixtureDirs {
 		pkg, err := loader.LoadDir(filepath.Join(root, dir))

@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// suiteOrder is the pinned registration order. The driver's cache keys,
-// the -list output and the SARIF rule array all derive from Suite(), so
-// a reorder (or an accidental map-iteration dependence) is a breaking
-// change this test makes explicit.
+// suiteOrder is the pinned registration order. The -list output and
+// the SARIF rule array both derive from Suite(), so a reorder (or an
+// accidental map-iteration dependence) is a breaking change this test
+// makes explicit.
 var suiteOrder = []string{
 	"determinism",
 	"ctxdiscipline",
@@ -27,7 +27,6 @@ var suiteOrder = []string{
 	"codecdrift",
 	"borrowflow",
 	"poolsafe",
-	"hotalloc",
 }
 
 // TestSuiteOrderPinned pins the exact analyzer count and registration
@@ -83,17 +82,17 @@ func TestSortDiagnosticsDeterministic(t *testing.T) {
 	}
 	scrambled := []Diagnostic{
 		d("b.go", 3, 1, "poolsafe"),
-		d("a.go", 9, 2, "hotalloc"),
+		d("a.go", 9, 2, "floateq"),
 		d("b.go", 3, 1, "borrowflow"),
 		d("a.go", 9, 2, "aliasflow"),
 		d("a.go", 2, 7, "determinism"),
-		d("b.go", 1, 1, "hotalloc"),
+		d("b.go", 1, 1, "errwrap"),
 	}
 	want := []Diagnostic{
 		d("a.go", 2, 7, "determinism"),
 		d("a.go", 9, 2, "aliasflow"),
-		d("a.go", 9, 2, "hotalloc"),
-		d("b.go", 1, 1, "hotalloc"),
+		d("a.go", 9, 2, "floateq"),
+		d("b.go", 1, 1, "errwrap"),
 		d("b.go", 3, 1, "borrowflow"),
 		d("b.go", 3, 1, "poolsafe"),
 	}

@@ -1,14 +1,12 @@
 // Package token is the golden fixture for the escape/borrow layer:
 // borrowflow (this import-path suffix is in the default borrow
-// packages), poolsafe (unscoped), and hotalloc (the fixture module's
-// lint/hotpaths.conf declares this package hot). Each positive case
-// carries a trailing `// want` annotation; the negatives prove the
-// copy-out and deferred-Put shapes stay silent.
+// packages) and poolsafe (unscoped). Each positive case carries a
+// trailing `// want` annotation; the negatives prove the copy-out and
+// deferred-Put shapes stay silent.
 package token
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
@@ -132,45 +130,4 @@ func useAfterPut() byte {
 	buf = append(buf, 1)
 	bufPool.Put(buf)
 	return buf[0] // want poolsafe "used after bufPool.Put"
-}
-
-// --- hotalloc: declared-hot-path allocation policy ---
-
-// Render converts at a stage boundary: borrowflow is satisfied (the
-// string is a copy) but the conversion itself allocates.
-func Render(ctx context.Context, b []byte) (string, error) {
-	return string(b), nil // want hotalloc "hot-path allocation (string-conv)"
-}
-
-func rebytes(s string) []byte {
-	return []byte(s) // want hotalloc "hot-path allocation (bytes-conv)"
-}
-
-func describe(n int) string {
-	return fmt.Sprintf("token-%d", n) // want hotalloc "hot-path allocation (sprintf)"
-}
-
-// box forces its argument into an interface.
-func box(v any) any { return v }
-
-func boxFloat(f float64) any {
-	return box(f) // want hotalloc "hot-path allocation (iface-box)"
-}
-
-// gather appends in a loop to a slice declared without capacity.
-func gather(words []string) []string {
-	var out []string
-	for _, w := range words {
-		out = append(out, w) // want hotalloc "hot-path allocation (append-loop)"
-	}
-	return out
-}
-
-// gatherPrealloc hints the capacity up front: silent.
-func gatherPrealloc(words []string) []string {
-	out := make([]string, 0, len(words))
-	for _, w := range words {
-		out = append(out, w)
-	}
-	return out
 }
